@@ -147,9 +147,13 @@ func mergedPricing(g *hostgpu.GPU, members []*sched.Job) (arch.ClassVec, []cache
 // constituents. Merging wins when the per-VP grids undersubscribe the device
 // or waste alignment (Fig. 10a); it loses when each launch already saturates
 // the device and the D2D traffic is pure overhead — which is how the paper's
-// coalescing-unfriendly applications behave.
+// coalescing-unfriendly applications behave. A merge also needs device room
+// for its contiguous copy of every member buffer (Fig. 5), so a group whose
+// merged footprint exceeds the device's headroom is rejected and its members
+// run unmerged.
 func beneficial(g *hostgpu.GPU, members []*sched.Job) bool {
 	var sumSeconds, d2dBytes float64
+	var footprint int64
 	for _, m := range members {
 		// The trial timing rides the device's launch-signature cache, so the
 		// win predictor prices repeated identical launches in O(1).
@@ -161,6 +165,7 @@ func beneficial(g *hostgpu.GPU, members []*sched.Job) bool {
 		for _, decl := range m.Launch.Kernel.Bufs {
 			if ptr, ok := m.Launch.Bindings[decl.Name]; ok {
 				if size, err := g.Mem.Size(ptr); err == nil {
+					footprint += int64(size)
 					d2dBytes += float64(size) // gather
 					if !decl.ReadOnly {
 						d2dBytes += float64(size) // scatter
@@ -168,6 +173,9 @@ func beneficial(g *hostgpu.GPU, members []*sched.Job) bool {
 				}
 			}
 		}
+	}
+	if footprint > g.Mem.Headroom() {
+		return false
 	}
 	sigma, accs, grid, err := mergedPricing(g, members)
 	if err != nil {
@@ -186,18 +194,14 @@ func beneficial(g *hostgpu.GPU, members []*sched.Job) bool {
 	return mergedSeconds < sumSeconds
 }
 
-// piece records one constituent of a merged launch.
-type piece struct {
-	job     *sched.Job
-	offsets map[string]int // byte offset of this piece in each merged buffer
-	sizes   map[string]int
-}
-
 // Merge builds the coalesced job for a group of matching kernel jobs. Its
-// execution: device-to-device gathers of every input chunk into the merged
-// contiguous buffers (Fig. 5), one kernel launch over grid = Σ grids whose σ
-// is the sum of the constituents', then scatters of the written chunks back.
-// The member jobs are finished with their share of the result.
+// execution charges, in simulated time, the device-to-device gathers of every
+// input chunk into merged contiguous buffers (Fig. 5), one kernel launch over
+// grid = Σ grids whose σ is the sum of the constituents', and the scatters of
+// the written chunks back. On the host no bytes move: each constituent runs
+// in place on its own allocations, which is exactly what the merged kernel
+// computes on the GPU. The member jobs are finished with their share of the
+// result.
 func Merge(g *hostgpu.GPU, members []*sched.Job) *sched.Job {
 	first := members[0].Launch
 	label := fmt.Sprintf("coalesced %s ×%d", first.Kernel.Name, len(members))
@@ -218,12 +222,12 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 	first := members[0].Launch
 	kernel := first.Kernel
 
-	// Plan the merged buffers.
-	pieces := make([]*piece, len(members))
-	mergedSize := map[string]int{}
+	// sizes[i][k] is member i's allocation size for kernel buffer k: the
+	// chunk its gather and scatter move.
+	sizes := make([][]int, len(members))
 	for i, m := range members {
-		p := &piece{job: m, offsets: map[string]int{}, sizes: map[string]int{}}
-		for _, decl := range kernel.Bufs {
+		sizes[i] = make([]int, len(kernel.Bufs))
+		for k, decl := range kernel.Bufs {
 			ptr, ok := m.Launch.Bindings[decl.Name]
 			if !ok {
 				return fmt.Errorf("coalesce: %s: vp%d missing buffer %q", kernel.Name, m.VP, decl.Name)
@@ -232,35 +236,15 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 			if err != nil {
 				return err
 			}
-			p.offsets[decl.Name] = mergedSize[decl.Name]
-			p.sizes[decl.Name] = size
-			mergedSize[decl.Name] += size
+			sizes[i][k] = size
 		}
-		pieces[i] = p
-	}
-
-	mergedPtr := map[string]devmem.Ptr{}
-	defer func() {
-		for _, ptr := range mergedPtr {
-			_ = gpu.Mem.Free(ptr)
-		}
-	}()
-	for _, decl := range kernel.Bufs {
-		ptr, err := gpu.Mem.Alloc(mergedSize[decl.Name])
-		if err != nil {
-			return fmt.Errorf("coalesce: %s: merged %q: %w", kernel.Name, decl.Name, err)
-		}
-		mergedPtr[decl.Name] = ptr
 	}
 
 	// Gather: D2D copies of every chunk into the contiguous region.
 	stream := -1 - mj.VP
-	for _, p := range pieces {
-		for _, decl := range kernel.Bufs {
-			src := p.job.Launch.Bindings[decl.Name]
-			if _, err := gpu.CopyD2D(stream, mergedPtr[decl.Name], p.offsets[decl.Name], src, 0, p.sizes[decl.Name]); err != nil {
-				return err
-			}
+	for i := range members {
+		for k := range kernel.Bufs {
+			gpu.ChargeD2D(stream, sizes[i][k])
 		}
 	}
 
@@ -279,42 +263,33 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 		SharedMemPerBlock: first.SharedMemPerBlock,
 		RegsPerThread:     first.RegsPerThread,
 		Params:            first.Params,
-		Bindings:          mergedPtr,
 		SigmaOverride:     &sigma,
 		AccessesOverride:  accesses,
 		ExecOverride: func(mem *devmem.Mem) error {
-			// Execute each constituent on its slice of the merged buffers,
+			// Execute each constituent in place on its own allocations,
 			// preserving per-VP semantics exactly.
-			for _, p := range pieces {
+			for _, m := range members {
 				env := &kpl.Env{
-					NThreads: p.job.Launch.Threads(),
-					Params:   p.job.Launch.Params,
+					NThreads: m.Launch.Threads(),
+					Params:   m.Launch.Params,
 					Bufs:     map[string]*kpl.Buffer{},
 				}
 				if env.Params == nil {
 					env.Params = map[string]kpl.Value{}
 				}
 				for _, decl := range kernel.Bufs {
-					buf, err := mem.BindBufferRange(mergedPtr[decl.Name], p.offsets[decl.Name], p.sizes[decl.Name], decl.Elem)
+					buf, err := mem.BindBuffer(m.Launch.Bindings[decl.Name], decl.Elem)
 					if err != nil {
 						return err
 					}
 					env.Bufs[decl.Name] = buf
 				}
-				if p.job.Launch.Native != nil {
-					if err := p.job.Launch.Native(env); err != nil {
+				if m.Launch.Native != nil {
+					if err := m.Launch.Native(env); err != nil {
 						return err
 					}
-				} else if err := kernel.ExecBlocks(env, nil, p.job.Launch.Block, gpu.Workers); err != nil {
+				} else if err := kernel.ExecBlocks(env, nil, m.Launch.Block, gpu.Workers); err != nil {
 					return err
-				}
-				for _, decl := range kernel.Bufs {
-					if decl.ReadOnly {
-						continue
-					}
-					if err := mem.WriteBufferRange(mergedPtr[decl.Name], p.offsets[decl.Name], env.Bufs[decl.Name]); err != nil {
-						return err
-					}
 				}
 			}
 			return nil
@@ -330,18 +305,14 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 
 	// Scatter: written chunks go back to each VP's allocations.
 	totalThreads := float64(merged.Threads())
-	for _, p := range pieces {
-		for _, decl := range kernel.Bufs {
-			if decl.ReadOnly {
-				continue
-			}
-			dst := p.job.Launch.Bindings[decl.Name]
-			if _, err := gpu.CopyD2D(stream, dst, 0, mergedPtr[decl.Name], p.offsets[decl.Name], p.sizes[decl.Name]); err != nil {
-				return err
+	for i, m := range members {
+		for k, decl := range kernel.Bufs {
+			if !decl.ReadOnly {
+				gpu.ChargeD2D(stream, sizes[i][k])
 			}
 		}
 		// Each member receives a thread-proportional share of the profile.
-		share := float64(p.job.Launch.Threads()) / totalThreads
+		share := float64(m.Launch.Threads()) / totalThreads
 		pp := *prof
 		pp.Sigma = prof.Sigma.Scale(share)
 		pp.Cycles *= share
@@ -353,12 +324,12 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 		pp.TimeSec *= share
 		pp.EnergyJ *= share
 		pp.Shape = profile.LaunchShape{
-			Grid:              p.job.Launch.Grid,
-			Block:             p.job.Launch.Block,
-			SharedMemPerBlock: p.job.Launch.SharedMemPerBlock,
-			RegsPerThread:     p.job.Launch.RegsPerThread,
+			Grid:              m.Launch.Grid,
+			Block:             m.Launch.Block,
+			SharedMemPerBlock: m.Launch.SharedMemPerBlock,
+			RegsPerThread:     m.Launch.RegsPerThread,
 		}
-		p.job.Profile = &pp
+		m.Profile = &pp
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/hostgpu"
 	"repro/internal/kernels"
 	"repro/internal/kpl"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
@@ -253,5 +254,99 @@ func TestApplySingletonNotMerged(t *testing.T) {
 	out := Apply(g, []*sched.Job{j1})
 	if len(out) != 1 || out[0] != j1 {
 		t.Fatal("singleton group must pass through")
+	}
+}
+
+// TestMergedRunMovesNoHostBytes: a 16-member merged vectorAdd over 64 KiB
+// buffers allocates less host memory per run than one member buffer holds.
+// Members run in place on their own allocations and the gather/scatter is
+// charged in simulated time only, so neither merged host buffers nor
+// decode/encode copies of device bytes may come back.
+func TestMergedRunMovesNoHostBytes(t *testing.T) {
+	const n = 16384 // 64 KiB of f32 per buffer
+	g := hostgpu.New(arch.Quadro4000(), 1<<28)
+	var launches []*hostgpu.Launch
+	for vp := 1; vp <= 16; vp++ {
+		j, _ := vecAddJob(t, g, vp, n)
+		j.Launch.Grid = n / j.Launch.Block
+		launches = append(launches, j.Launch)
+	}
+	run := func() error {
+		members := make([]*sched.Job, len(launches))
+		for i, l := range launches {
+			members[i] = sched.NewKernel(i+1, i+1, l)
+			members[i].Coalescable = true
+		}
+		return Merge(g, members).Run(g)
+	}
+	if err := run(); err != nil { // warm the timing cache
+		t.Fatal(err)
+	}
+	var runErr error
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N && runErr == nil; i++ {
+			runErr = run()
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	for vp := 1; vp <= 16; vp++ {
+		checkVecAddResult(t, g, vp, launches[vp-1].Bindings["out"], n)
+	}
+	got := res.AllocedBytesPerOp()
+	t.Logf("%d host bytes allocated per merged run", got)
+	if got >= 4*n {
+		t.Fatalf("merged run allocates %d host bytes per op, want < %d (one member buffer)", got, 4*n)
+	}
+}
+
+// TestApplyRejectsMergeWithoutHeadroom: a merge needs device room for the
+// contiguous copy of every member buffer (Fig. 5). A group whose merged
+// footprint exceeds the device's headroom is rejected and counted, and its
+// members run unmerged and succeed; with room to spare the same group
+// merges.
+func TestApplyRejectsMergeWithoutHeadroom(t *testing.T) {
+	const n = 512
+	const memberBytes = 3 * 4 * n // a, b, out
+	for _, tc := range []struct {
+		capacity int64
+		merge    bool
+	}{
+		{capacity: 2*memberBytes + memberBytes, merge: false}, // room for one member's buffers, not two
+		{capacity: 4 * memberBytes, merge: true},
+	} {
+		g := hostgpu.New(arch.Quadro4000(), tc.capacity)
+		g.Metrics = metrics.New()
+		var batch []*sched.Job
+		var outs []devmem.Ptr
+		for vp := 1; vp <= 2; vp++ {
+			j, out := vecAddJob(t, g, vp, n)
+			batch = append(batch, j)
+			outs = append(outs, out)
+		}
+		out := Apply(g, batch)
+		snap := g.Metrics.Snapshot()
+		if merged := len(out) == 1; merged != tc.merge {
+			t.Fatalf("capacity %d: merged = %v, want %v", tc.capacity, merged, tc.merge)
+		}
+		if got, want := snap.CounterValue("coalesce.rejected"), int64(len(out)-1); got != want {
+			t.Fatalf("capacity %d: coalesce.rejected = %d, want %d", tc.capacity, got, want)
+		}
+		for _, j := range out {
+			if err := j.Run(g); err != nil {
+				t.Fatalf("capacity %d: %s: %v", tc.capacity, j.Label, err)
+			}
+			if !j.Done() {
+				j.Finish(nil)
+			}
+		}
+		for i, j := range batch {
+			if err := j.Wait(); err != nil {
+				t.Fatalf("capacity %d: member %d: %v", tc.capacity, i, err)
+			}
+			checkVecAddResult(t, g, i+1, outs[i], n)
+		}
 	}
 }

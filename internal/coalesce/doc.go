@@ -4,7 +4,11 @@
 // of the constituent launches are merged into one physically-contiguous
 // region per kernel buffer (Fig. 5), a single kernel instance runs over the
 // merged data (Fig. 6b), and the results are scattered back to each VP's
-// memory.
+// memory. The gather and scatter are device-to-device copies charged in
+// simulated time; on the host no bytes move, because each constituent runs
+// in place on its own allocations, which is what the merged kernel computes.
+// A merge is accepted only when the device has headroom for the merged
+// buffers and the device's timing model predicts a win.
 //
 // Gains, all emergent from the device model: one launch overhead To instead
 // of N (Eq. 9), a grid of Σ blocks that fills SM waves where the small

@@ -539,15 +539,16 @@ func (s *Service) dispatch(batch []*sched.Job) {
 			Kind: metrics.EventDispatched, VP: j.VP, Stream: j.Stream,
 			Engine: j.Engine, Label: j.Label, Time: j.Interval.Start,
 		})
+	}
+	// Completion accounting and estimation cover the *submitted* jobs:
+	// coalesced members never appear in the planned order, but the merged
+	// job's run fills their intervals and their per-member profiles and
+	// finishes them.
+	lat := s.metrics.Histogram("core.dispatch_latency_s", metrics.LatencyBuckets)
+	for _, j := range orig {
 		if s.Estimator != nil {
 			s.Estimator.observe(s, j)
 		}
-	}
-	// Completion accounting covers the *submitted* jobs: coalesced members
-	// never appear in the planned order, but the merged job's run fills their
-	// intervals and finishes them.
-	lat := s.metrics.Histogram("core.dispatch_latency_s", metrics.LatencyBuckets)
-	for _, j := range orig {
 		s.releaseJob(j)
 		errMsg := ""
 		if j.Err != nil {

@@ -260,6 +260,59 @@ func TestEstimationModuleInService(t *testing.T) {
 	}
 }
 
+// TestEstimationCoversCoalescedLaunches: a batch whose every launch merges
+// still yields one target estimate per submitted launch. The merged job has
+// no Launch of its own; the estimator observes the members, which carry
+// their own launch and profile share once the merged run finishes them.
+func TestEstimationCoversCoalescedLaunches(t *testing.T) {
+	opts := DefaultOptions()
+	tegra := arch.TegraK1()
+	opts.EstimateTarget = &tegra
+	s := NewService(opts)
+	defer s.Close()
+	b, err := kernels.Get("vectorAdd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 512
+	// Both VPs stay registered and running, so nothing dispatches until
+	// Flush hands the two launches to one batch.
+	for id := 1; id <= 2; id++ {
+		s.RegisterVP(id)
+	}
+	for id := 1; id <= 2; id++ {
+		bind := map[string]devmem.Ptr{}
+		for _, decl := range b.Kernel.Bufs {
+			p, err := s.GPU.Mem.Alloc(4 * n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bind[decl.Name] = p
+		}
+		j := sched.NewKernel(id, VPStream(id, 0), &hostgpu.Launch{
+			Kernel: b.Kernel, Prog: b.Prog, Grid: 1, Block: n,
+			Params:   map[string]kpl.Value{"n": kpl.IntVal(n)},
+			Bindings: bind,
+			Native:   b.Native,
+		})
+		j.Coalescable = true
+		s.Submit(j)
+	}
+	s.Flush()
+	if got := s.Snapshot().CounterValue("coalesce.jobs_merged"); got != 2 {
+		t.Fatalf("coalesce.jobs_merged = %d, want 2 (the batch must merge)", got)
+	}
+	res := s.Estimator.Results()
+	if len(res) != 2 {
+		t.Fatalf("%d estimates for 2 coalesced launches, want one each: %+v", len(res), res)
+	}
+	for i, r := range res {
+		if r.VP != i+1 || r.Kernel != "vectorAdd" || r.HostTimeSec <= 0 || r.TargetTimeSec <= r.HostTimeSec {
+			t.Errorf("estimate %d = %+v, want vp%d vectorAdd slower on the target than its host share", i, r, i+1)
+		}
+	}
+}
+
 // TestMemsetThroughService: cudaMemset works over both the in-process and
 // the TCP IPC paths, and histogram-style apps can zero their bins between
 // iterations.

@@ -38,7 +38,9 @@ type span struct {
 	size Ptr // aligned length in bytes
 }
 
-// Mem is one device's memory. It is safe for concurrent use.
+// Mem is one device's memory. Its methods are safe for concurrent use; the
+// views BindBuffer hands out are not synchronized and belong to the launch
+// that bound them.
 type Mem struct {
 	mu       sync.Mutex
 	next     Ptr
@@ -101,7 +103,7 @@ func (m *Mem) Alloc(n int) (Ptr, error) {
 		p = m.next
 		m.next += need
 	}
-	m.allocs[p] = make([]byte, n)
+	m.allocs[p] = newStorage(n)
 	m.reserved[p] = need
 	m.used += int64(n)
 	return p, nil
@@ -156,7 +158,7 @@ func (m *Mem) AllocAt(p Ptr, n int) error {
 			m.insertFree(span{addr: end, size: f.addr + f.size - end})
 		}
 	}
-	m.allocs[p] = make([]byte, n)
+	m.allocs[p] = newStorage(n)
 	m.reserved[p] = need
 	m.used += int64(n)
 	return nil
@@ -348,43 +350,22 @@ func (m *Mem) bind(p Ptr) ([]byte, error) {
 	return b, nil
 }
 
-// BindBuffer decodes the allocation at p as a typed kernel buffer.
+// BindBuffer returns a typed kernel buffer that aliases the allocation at p:
+// kernel stores land in device memory directly, with nothing to decode at
+// bind or encode at write-back. Trailing bytes that do not fill an element
+// are outside the view. The view is valid only for the launch it was bound
+// for; the executor goroutine that owns device memory is its only user.
 func (m *Mem) BindBuffer(p Ptr, t kpl.Type) (*kpl.Buffer, error) {
 	raw, err := m.bind(p)
 	if err != nil {
 		return nil, err
 	}
-	return BufferFromBytes(t, raw), nil
+	return view(t, raw), nil
 }
 
-// BindBufferRange decodes n bytes at offset off of the allocation at p as a
-// typed kernel buffer (a sub-range view used by coalesced launches).
-func (m *Mem) BindBufferRange(p Ptr, off, n int, t kpl.Type) (*kpl.Buffer, error) {
-	raw, err := m.bind(p)
-	if err != nil {
-		return nil, err
-	}
-	if off < 0 || n < 0 || off+n > len(raw) {
-		return nil, fmt.Errorf("devmem: range [%d,%d) outside allocation of %d bytes", off, off+n, len(raw))
-	}
-	return BufferFromBytes(t, raw[off:off+n]), nil
-}
-
-// WriteBufferRange encodes buf into the allocation at p starting at off.
-func (m *Mem) WriteBufferRange(p Ptr, off int, buf *kpl.Buffer) error {
-	raw, err := m.bind(p)
-	if err != nil {
-		return err
-	}
-	need := buf.Bytes()
-	if off < 0 || off+need > len(raw) {
-		return fmt.Errorf("devmem: range write [%d,%d) outside allocation of %d bytes", off, off+need, len(raw))
-	}
-	BufferToBytes(buf, raw[off:off+need])
-	return nil
-}
-
-// WriteBuffer encodes buf back into the allocation at p.
+// WriteBuffer stores buf into the allocation at p. A view BindBuffer returned
+// for p already is the allocation, so writing it back is a no-op; any other
+// buffer is encoded into the allocation's leading bytes.
 func (m *Mem) WriteBuffer(p Ptr, buf *kpl.Buffer) error {
 	raw, err := m.bind(p)
 	if err != nil {
@@ -394,124 +375,38 @@ func (m *Mem) WriteBuffer(p Ptr, buf *kpl.Buffer) error {
 	if need > len(raw) {
 		return fmt.Errorf("devmem: buffer of %d bytes exceeds allocation of %d", need, len(raw))
 	}
-	BufferToBytes(buf, raw[:need])
+	if src := bytesOf(buf); len(src) > 0 && &src[0] != &raw[0] {
+		copy(raw, src)
+	}
 	return nil
 }
 
 // BufferFromBytes decodes little-endian device bytes into a typed buffer.
 // Trailing bytes that do not fill an element are ignored.
 func BufferFromBytes(t kpl.Type, raw []byte) *kpl.Buffer {
-	n := len(raw) / t.Size()
-	buf := kpl.NewBuffer(t, n)
-	switch t {
-	case kpl.F32:
-		for i := 0; i < n; i++ {
-			buf.F32s[i] = math.Float32frombits(le32(raw[4*i:]))
-		}
-	case kpl.F64:
-		for i := 0; i < n; i++ {
-			buf.F64s[i] = math.Float64frombits(le64(raw[8*i:]))
-		}
-	default:
-		for i := 0; i < n; i++ {
-			buf.I32s[i] = int32(le32(raw[4*i:]))
-		}
-	}
+	buf := kpl.NewBuffer(t, len(raw)/t.Size())
+	copy(bytesOf(buf), raw)
 	return buf
 }
 
 // BufferToBytes encodes a typed buffer into dst, which must hold at least
 // buf.Bytes() bytes.
-func BufferToBytes(buf *kpl.Buffer, dst []byte) {
-	switch buf.Elem {
-	case kpl.F32:
-		for i, v := range buf.F32s {
-			put32(dst[4*i:], math.Float32bits(v))
-		}
-	case kpl.F64:
-		for i, v := range buf.F64s {
-			put64(dst[8*i:], math.Float64bits(v))
-		}
-	default:
-		for i, v := range buf.I32s {
-			put32(dst[4*i:], uint32(v))
-		}
-	}
-}
+func BufferToBytes(buf *kpl.Buffer, dst []byte) { copy(dst, bytesOf(buf)) }
 
 // EncodeF32 packs float32 values into device bytes.
-func EncodeF32(vs []float32) []byte {
-	out := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		put32(out[4*i:], math.Float32bits(v))
-	}
-	return out
-}
+func EncodeF32(vs []float32) []byte { return encode(vs) }
 
 // EncodeF64 packs float64 values into device bytes.
-func EncodeF64(vs []float64) []byte {
-	out := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		put64(out[8*i:], math.Float64bits(v))
-	}
-	return out
-}
+func EncodeF64(vs []float64) []byte { return encode(vs) }
 
 // EncodeI32 packs int32 values into device bytes.
-func EncodeI32(vs []int32) []byte {
-	out := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		put32(out[4*i:], uint32(v))
-	}
-	return out
-}
+func EncodeI32(vs []int32) []byte { return encode(vs) }
 
 // DecodeF32 unpacks device bytes as float32 values.
-func DecodeF32(raw []byte) []float32 {
-	n := len(raw) / 4
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(le32(raw[4*i:]))
-	}
-	return out
-}
+func DecodeF32(raw []byte) []float32 { return decode[float32](raw) }
 
 // DecodeF64 unpacks device bytes as float64 values.
-func DecodeF64(raw []byte) []float64 {
-	n := len(raw) / 8
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(le64(raw[8*i:]))
-	}
-	return out
-}
+func DecodeF64(raw []byte) []float64 { return decode[float64](raw) }
 
 // DecodeI32 unpacks device bytes as int32 values.
-func DecodeI32(raw []byte) []int32 {
-	n := len(raw) / 4
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(le32(raw[4*i:]))
-	}
-	return out
-}
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func le64(b []byte) uint64 {
-	return uint64(le32(b)) | uint64(le32(b[4:]))<<32
-}
-
-func put32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func put64(b []byte, v uint64) {
-	put32(b, uint32(v))
-	put32(b[4:], uint32(v>>32))
-}
+func DecodeI32(raw []byte) []int32 { return decode[int32](raw) }

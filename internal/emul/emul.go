@@ -141,8 +141,9 @@ func (d *Device) Launch(l *hostgpu.Launch) (*profile.Profile, hostgpu.Interval, 
 	dyn := l.Dyn
 	var err error
 	if !d.TimingOnly {
-		// Functional emulation: interpret (or run compiled semantics) and
-		// collect the exact dynamic statistics while doing so.
+		// Functional emulation: interpret (or run compiled semantics) in
+		// place on the bound device views and collect the exact dynamic
+		// statistics while doing so.
 		if l.Native != nil {
 			if err := l.Native(env); err != nil {
 				return nil, hostgpu.Interval{}, fmt.Errorf("emul: %s: %w", l.Kernel.Name, err)
@@ -158,14 +159,6 @@ func (d *Device) Launch(l *hostgpu.Launch) (*profile.Profile, hostgpu.Interval, 
 				return nil, hostgpu.Interval{}, err
 			}
 			dyn = st
-		}
-		for _, decl := range l.Kernel.Bufs {
-			if decl.ReadOnly {
-				continue
-			}
-			if err := d.Mem.WriteBuffer(l.Bindings[decl.Name], env.Bufs[decl.Name]); err != nil {
-				return nil, hostgpu.Interval{}, err
-			}
 		}
 	} else if dyn == nil && l.Prog.NeedsDynamicProfile() {
 		if dyn, err = l.Kernel.SampleStats(env, 32); err != nil {

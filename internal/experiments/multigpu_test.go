@@ -202,6 +202,10 @@ func multiRemoteRun(t *testing.T, codecName string, workers int, pipeline bool) 
 		}
 	}
 
+	// Capture behind a barrier: Server.Close waits for every connection
+	// goroutine, so the last VP's disconnect hook has returned, not merely
+	// deregistered the VP, before the snapshot.
+	srv.Close()
 	metricsJSON, err = ms.Snapshot().JSON()
 	if err != nil {
 		t.Fatal(err)

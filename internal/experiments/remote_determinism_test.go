@@ -21,6 +21,12 @@ import (
 // The service gets its own registry and the server/client transport counters
 // are kept out of it, so snapshots are comparable across codecs (transport
 // traffic differs by codec; simulated work must not).
+//
+// The artifacts are captured behind a barrier at which every transport has
+// torn its VP down: a TCP server runs its disconnect hook from the
+// connection goroutine, and Server.Close waits for those goroutines, so the
+// TCP legs snapshot after Close; the pipe leg unregisters its VP by hand
+// before its snapshot. core.vps_active then reads the same on every leg.
 func remoteRun(t *testing.T, transport string, workers int) (d2h, metricsJSON, traceJSON []byte) {
 	t.Helper()
 	reg := metrics.New()
@@ -31,10 +37,11 @@ func remoteRun(t *testing.T, transport string, workers int) (d2h, metricsJSON, t
 	svc := core.NewService(opts)
 
 	var client ipc.Client
+	var teardown func() // the capture barrier: returns once the VP is gone
 	switch transport {
 	case "pipe":
 		svc.RegisterVP(1)
-		defer svc.UnregisterVP(1)
+		teardown = func() { svc.UnregisterVP(1) }
 		client = ipc.Pipe(1, svc.Handle)
 	case "gob", "binary":
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -43,6 +50,7 @@ func remoteRun(t *testing.T, transport string, workers int) (d2h, metricsJSON, t
 		}
 		srv := ipc.ServeWithHooks(l, svc.Handle, svc.RegisterVP, svc.DisconnectVP)
 		defer srv.Close()
+		teardown = func() { srv.Close() }
 		codec, err := ipc.ParseCodec(transport)
 		if err != nil {
 			t.Fatal(err)
@@ -95,6 +103,7 @@ func remoteRun(t *testing.T, transport string, workers int) (d2h, metricsJSON, t
 	if err := ctx.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+	teardown()
 
 	metricsJSON, err = reg.Snapshot().JSON()
 	if err != nil {

@@ -81,8 +81,8 @@ type Launch struct {
 	AccessesOverride []cachemodel.Access
 
 	// ExecOverride, when non-nil, replaces kernel execution entirely in
-	// ExecFull mode (the coalescer runs each constituent piece on its slice
-	// of the merged buffers). It receives the owning device's memory.
+	// ExecFull mode (the coalescer runs each constituent launch in place on
+	// its own allocations). It receives the owning device's memory.
 	ExecOverride func(mem *devmem.Mem) error
 }
 
@@ -231,8 +231,8 @@ func (g *GPU) schedule(engine string, stream int, dur float64, label string) Int
 		g.Trace.Add(trace.Record{Engine: engine, Stream: stream, Label: label, Start: start, End: end})
 	}
 	if g.Metrics != nil {
-		g.Metrics.Counter("hostgpu.ops."+engine).Inc()
-		g.Metrics.Counter("hostgpu.engine_busy_ns."+engine).Add(int64(math.Round(dur * 1e9)))
+		g.Metrics.Counter("hostgpu.ops." + engine).Inc()
+		g.Metrics.Counter("hostgpu.engine_busy_ns." + engine).Add(int64(math.Round(dur * 1e9)))
 		if cke {
 			g.Metrics.Histogram("hostgpu.cke_occupancy", metrics.CountBuckets).Observe(occupancy)
 		}
@@ -395,7 +395,7 @@ func (g *GPU) deriveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, error)
 	return sigma, accesses, nil
 }
 
-// bindEnv materializes the kernel's buffer views from device memory.
+// bindEnv binds the kernel's buffers as views of their device allocations.
 func (g *GPU) bindEnv(l *Launch) (*kpl.Env, error) {
 	env := &kpl.Env{NThreads: l.Threads(), Params: l.Params, Bufs: map[string]*kpl.Buffer{}}
 	if env.Params == nil {
@@ -415,24 +415,16 @@ func (g *GPU) bindEnv(l *Launch) (*kpl.Env, error) {
 	return env, nil
 }
 
-// execute runs the kernel's semantics and writes results back to device
-// memory. Interpreted kernels fan their thread blocks out over the device's
+// execute runs the kernel's semantics in place on device memory: env's
+// buffers are views of the bound allocations, so there is nothing to write
+// back. Interpreted kernels fan their thread blocks out over the device's
 // worker pool; the result is bit-identical to serial interpretation.
 func (g *GPU) execute(l *Launch, env *kpl.Env) error {
-	if l.Native != nil {
-		if err := l.Native(env); err != nil {
-			return fmt.Errorf("hostgpu: %s: native execution: %w", l.Kernel.Name, err)
-		}
-	} else if err := l.Kernel.ExecBlocks(env, nil, l.Block, g.Workers); err != nil {
-		return err
+	if l.Native == nil {
+		return l.Kernel.ExecBlocks(env, nil, l.Block, g.Workers)
 	}
-	for _, decl := range l.Kernel.Bufs {
-		if decl.ReadOnly {
-			continue
-		}
-		if err := g.Mem.WriteBuffer(l.Bindings[decl.Name], env.Bufs[decl.Name]); err != nil {
-			return err
-		}
+	if err := l.Native(env); err != nil {
+		return fmt.Errorf("hostgpu: %s: native execution: %w", l.Kernel.Name, err)
 	}
 	return nil
 }
@@ -502,21 +494,14 @@ func (g *GPU) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (Interv
 	return g.schedule(EngineCompute, stream, dur, fmt.Sprintf("memset %dB", n)), nil
 }
 
-// CopyD2D moves n bytes between two device allocations through device
-// memory at MemBW (the memory-chunk merge of Kernel Coalescing, paper
-// Fig. 5). In timing-only mode no bytes move.
-func (g *GPU) CopyD2D(stream int, dst devmem.Ptr, dstOff int, src devmem.Ptr, srcOff, n int) (Interval, error) {
-	if g.Mode != ExecTimingOnly {
-		data, err := g.Mem.Read(src, srcOff, n)
-		if err != nil {
-			return Interval{}, err
-		}
-		if err := g.Mem.Write(dst, dstOff, data); err != nil {
-			return Interval{}, err
-		}
-	}
+// ChargeD2D charges a device-to-device copy of n bytes through device
+// memory at MemBW on the copy engine (the memory-chunk merge of Kernel
+// Coalescing, paper Fig. 5) and returns its interval. Only simulated time
+// moves: coalesced launches run in place on their own allocations, so the
+// copy has no host-side bytes to move.
+func (g *GPU) ChargeD2D(stream, n int) Interval {
 	dur := float64(n) / (g.Arch.MemBWGBps * 1e9)
-	return g.schedule(EngineH2D, stream, dur, fmt.Sprintf("D2D %dB", n)), nil
+	return g.schedule(EngineH2D, stream, dur, fmt.Sprintf("D2D %dB", n))
 }
 
 // SyncStream returns the simulated time at which all work submitted to the

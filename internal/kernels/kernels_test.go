@@ -79,6 +79,36 @@ func TestInterpreterNativeAgreement(t *testing.T) {
 	}
 }
 
+// TestNativeLeavesReadOnlyBuffers: kernels run in place on device memory,
+// so a native implementation that stored into a buffer its kernel declares
+// read-only would corrupt a guest's input allocation (the kpl validator
+// already rejects such stores in interpreted kernels).
+func TestNativeLeavesReadOnlyBuffers(t *testing.T) {
+	for _, b := range All() {
+		if b.Native == nil {
+			continue
+		}
+		w := b.MakeWorkload(1)
+		env := buildEnv(t, b, w)
+		before := buildEnv(t, b, w)
+		if err := b.Native(env); err != nil {
+			t.Fatalf("%s: native: %v", b.Name, err)
+		}
+		for _, decl := range b.Kernel.Bufs {
+			if !decl.ReadOnly {
+				continue
+			}
+			got, want := env.Bufs[decl.Name], before.Bufs[decl.Name]
+			for i := 0; i < want.Len(); i++ {
+				if got.At(i) != want.At(i) {
+					t.Errorf("%s: native wrote read-only buffer %q at [%d]", b.Name, decl.Name, i)
+					break
+				}
+			}
+		}
+	}
+}
+
 // TestSigmaConsistency checks that the static σ derivation (Eq. 1) agrees
 // with the interpreter's exact dynamic counts to within the static branch
 // probability error.

@@ -2,9 +2,8 @@ package kpl
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 	"sort"
+	"strconv"
 )
 
 // Validate checks the kernel for structural errors — references to
@@ -168,92 +167,147 @@ func (v *validator) expr(e Expr) error {
 // requests from different VPs invoke the *identical* kernel and are therefore
 // eligible for Kernel Coalescing.
 func (k *Kernel) Signature() uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, k.Name)
+	h := sigHash(fnvOffset64)
+	h.str(k.Name)
 	names := make([]string, 0, len(k.Bufs))
 	for _, b := range k.Bufs {
-		names = append(names, fmt.Sprintf("%s:%s:%d:%t", b.Name, b.Elem, b.Access, b.ReadOnly))
+		names = append(names, b.Name+":"+b.Elem.String()+":"+strconv.Itoa(int(b.Access))+":"+strconv.FormatBool(b.ReadOnly))
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		io.WriteString(h, n)
+		h.str(n)
 	}
 	for _, p := range k.Params {
-		fmt.Fprintf(h, "%s:%s", p.Name, p.T)
+		h.str(p.Name)
+		h.str(":")
+		h.str(p.T.String())
 	}
-	hashStmts(h, k.Body)
-	return h.Sum64()
+	h.stmts(k.Body)
+	return uint64(h)
 }
 
-func hashStmts(h io.Writer, ss []Stmt) {
+// FNV-1a/64 constants (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// sigHash is an allocation-free FNV-1a/64 state for Signature, which every
+// launch's timing key and every coalescing key computes.
+type sigHash uint64
+
+func (h *sigHash) str(s string) {
+	for i := 0; i < len(s); i++ {
+		*h ^= sigHash(s[i])
+		*h *= fnvPrime64
+	}
+}
+
+func (h *sigHash) bytes(b []byte) {
+	for _, c := range b {
+		*h ^= sigHash(c)
+		*h *= fnvPrime64
+	}
+}
+
+func (h *sigHash) int(v int64) {
+	var buf [24]byte
+	h.bytes(strconv.AppendInt(buf[:0], v, 10))
+}
+
+func (h *sigHash) stmts(ss []Stmt) {
 	for _, s := range ss {
 		switch x := s.(type) {
 		case *LetStmt:
-			fmt.Fprintf(h, "let %s=", x.Name)
-			hashExpr(h, x.E)
+			h.str("let ")
+			h.str(x.Name)
+			h.str("=")
+			h.expr(x.E)
 		case *StoreStmt:
-			fmt.Fprintf(h, "st %s[", x.Buf)
-			hashExpr(h, x.Idx)
-			io.WriteString(h, "]=")
-			hashExpr(h, x.Val)
+			h.str("st ")
+			h.str(x.Buf)
+			h.str("[")
+			h.expr(x.Idx)
+			h.str("]=")
+			h.expr(x.Val)
 		case *AtomicAddStmt:
-			fmt.Fprintf(h, "atom %s[", x.Buf)
-			hashExpr(h, x.Idx)
-			io.WriteString(h, "]+=")
-			hashExpr(h, x.Val)
+			h.str("atom ")
+			h.str(x.Buf)
+			h.str("[")
+			h.expr(x.Idx)
+			h.str("]+=")
+			h.expr(x.Val)
 		case *ForStmt:
-			fmt.Fprintf(h, "for %s ", x.Var)
-			hashExpr(h, x.Start)
-			hashExpr(h, x.End)
-			hashStmts(h, x.Body)
-			io.WriteString(h, "rof")
+			h.str("for ")
+			h.str(x.Var)
+			h.str(" ")
+			h.expr(x.Start)
+			h.expr(x.End)
+			h.stmts(x.Body)
+			h.str("rof")
 		case *IfStmt:
-			io.WriteString(h, "if ")
-			hashExpr(h, x.Cond)
-			hashStmts(h, x.Then)
-			io.WriteString(h, "else")
-			hashStmts(h, x.Else)
+			h.str("if ")
+			h.expr(x.Cond)
+			h.stmts(x.Then)
+			h.str("else")
+			h.stmts(x.Else)
 		case *BreakStmt:
-			io.WriteString(h, "break")
+			h.str("break")
 		}
 	}
 }
 
-func hashExpr(h io.Writer, e Expr) {
+func (h *sigHash) expr(e Expr) {
 	switch x := e.(type) {
 	case *Const:
-		fmt.Fprintf(h, "c%d:%g:%d", x.T, x.F, x.I)
+		var buf [32]byte
+		h.str("c")
+		h.int(int64(x.T))
+		h.str(":")
+		h.bytes(strconv.AppendFloat(buf[:0], x.F, 'g', -1, 64))
+		h.str(":")
+		h.int(x.I)
 	case *TIDExpr:
-		io.WriteString(h, "tid")
+		h.str("tid")
 	case *NTExpr:
-		io.WriteString(h, "nt")
+		h.str("nt")
 	case *ParamExpr:
-		fmt.Fprintf(h, "p%s", x.Name)
+		h.str("p")
+		h.str(x.Name)
 	case *VarExpr:
-		fmt.Fprintf(h, "v%s", x.Name)
+		h.str("v")
+		h.str(x.Name)
 	case *BinExpr:
-		fmt.Fprintf(h, "b%d(", x.Op)
-		hashExpr(h, x.A)
-		io.WriteString(h, ",")
-		hashExpr(h, x.B)
-		io.WriteString(h, ")")
+		h.str("b")
+		h.int(int64(x.Op))
+		h.str("(")
+		h.expr(x.A)
+		h.str(",")
+		h.expr(x.B)
+		h.str(")")
 	case *UnExpr:
-		fmt.Fprintf(h, "u%d(", x.Op)
-		hashExpr(h, x.A)
-		io.WriteString(h, ")")
+		h.str("u")
+		h.int(int64(x.Op))
+		h.str("(")
+		h.expr(x.A)
+		h.str(")")
 	case *LoadExpr:
-		fmt.Fprintf(h, "ld %s[", x.Buf)
-		hashExpr(h, x.Idx)
-		io.WriteString(h, "]")
+		h.str("ld ")
+		h.str(x.Buf)
+		h.str("[")
+		h.expr(x.Idx)
+		h.str("]")
 	case *CastExpr:
-		fmt.Fprintf(h, "cast%d(", x.T)
-		hashExpr(h, x.A)
-		io.WriteString(h, ")")
+		h.str("cast")
+		h.int(int64(x.T))
+		h.str("(")
+		h.expr(x.A)
+		h.str(")")
 	case *SelExpr:
-		io.WriteString(h, "sel(")
-		hashExpr(h, x.Cond)
-		hashExpr(h, x.A)
-		hashExpr(h, x.B)
-		io.WriteString(h, ")")
+		h.str("sel(")
+		h.expr(x.Cond)
+		h.expr(x.A)
+		h.expr(x.B)
+		h.str(")")
 	}
 }

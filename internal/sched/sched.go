@@ -338,13 +338,13 @@ type planChain struct {
 
 // planScratch is the Re-scheduler's per-batch scratch state. A plan runs on
 // every dispatched batch — the hot path of the whole service — so the maps
-// and chain slices are pooled and reused across batches (cleared, capacity
+// and chain slices are recycled across batches (cleared, capacity
 // retained) instead of reallocated. Pinned by BenchmarkPlanAllocs and
 // TestPlanAllocs.
 type planScratch struct {
 	planned  map[*Job]bool
 	inBatch  map[*Job]bool
-	prev     map[*Job]*Job   // previous job in the (VP, stream) chain
+	prev     map[*Job]*Job // previous job in the (VP, stream) chain
 	lastOf   map[chainKey]*Job
 	chainIdx map[chainKey]int
 	arrival  map[*Job]int
@@ -352,24 +352,40 @@ type planScratch struct {
 	nchains  int
 }
 
-var planPool = sync.Pool{New: func() any { return new(planScratch) }}
+// planFree recycles scratches across batches. It is a mutex-guarded free
+// list rather than a sync.Pool because a pool drops entries at every GC and,
+// under the race detector, at random, and each drop reallocates every map.
+// It holds at most one scratch per concurrent planner (one per device
+// executor).
+var planFree struct {
+	sync.Mutex
+	list []*planScratch
+}
 
 // getScratch fetches a scratch sized for an n-job batch.
 func getScratch(n int) *planScratch {
-	ps := planPool.Get().(*planScratch)
-	if ps.planned == nil {
-		ps.planned = make(map[*Job]bool, n)
-		ps.inBatch = make(map[*Job]bool, n)
-		ps.prev = make(map[*Job]*Job, n)
-		ps.lastOf = make(map[chainKey]*Job, n)
-		ps.chainIdx = make(map[chainKey]int, n)
-		ps.arrival = make(map[*Job]int, n)
+	planFree.Lock()
+	var ps *planScratch
+	if k := len(planFree.list); k > 0 {
+		ps = planFree.list[k-1]
+		planFree.list = planFree.list[:k-1]
+	}
+	planFree.Unlock()
+	if ps == nil {
+		ps = &planScratch{
+			planned:  make(map[*Job]bool, n),
+			inBatch:  make(map[*Job]bool, n),
+			prev:     make(map[*Job]*Job, n),
+			lastOf:   make(map[chainKey]*Job, n),
+			chainIdx: make(map[chainKey]int, n),
+			arrival:  make(map[*Job]int, n),
+		}
 	}
 	return ps
 }
 
 // release clears the scratch (keeping map buckets and slice capacity) and
-// returns it to the pool.
+// returns it to the free list.
 func (ps *planScratch) release() {
 	clear(ps.planned)
 	clear(ps.inBatch)
@@ -382,7 +398,9 @@ func (ps *planScratch) release() {
 		ps.chains[i].head = 0
 	}
 	ps.nchains = 0
-	planPool.Put(ps)
+	planFree.Lock()
+	planFree.list = append(planFree.list, ps)
+	planFree.Unlock()
 }
 
 // chain returns the chain for a key, creating it in insertion order on first
