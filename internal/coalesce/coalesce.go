@@ -2,8 +2,6 @@ package coalesce
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
 
 	"repro/internal/arch"
 	"repro/internal/cachemodel"
@@ -16,20 +14,16 @@ import (
 
 // Key fingerprints a kernel launch for the Kernel Match stage: two launches
 // are mergeable when their kernels are structurally identical and their
-// block shapes and scalar parameters agree.
+// block shapes and scalar parameters agree. It is the FNV-1a/64 hash of the
+// launch's match key (hostgpu.Launch.AppendMatchKey).
 func Key(l *hostgpu.Launch) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%x/%d/%d/%d", l.Kernel.Signature(), l.Block, l.SharedMemPerBlock, l.RegsPerThread)
-	names := make([]string, 0, len(l.Params))
-	for name := range l.Params {
-		names = append(names, name)
+	var kb [128]byte
+	h := uint64(14695981039346656037)
+	for _, c := range l.AppendMatchKey(kb[:0]) {
+		h ^= uint64(c)
+		h *= 1099511628211
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		v := l.Params[name]
-		fmt.Fprintf(h, "%s=%d:%g:%d;", name, v.T, v.F, v.I)
-	}
-	return h.Sum64()
+	return h
 }
 
 // Apply performs the Kernel Match + merge pass over a batch: groups of ≥2
@@ -45,6 +39,9 @@ func Apply(g *hostgpu.GPU, batch []*sched.Job) []*sched.Job {
 	for _, j := range batch {
 		if j.Launch == nil || !j.Coalescable {
 			continue
+		}
+		if j.Launch.Kernel == nil || j.Launch.Prog == nil {
+			continue // left for hostgpu.Launch to fail with an error
 		}
 		k := Key(j.Launch)
 		if vpSeen[k] == nil {

@@ -160,6 +160,10 @@ func TestKeyMatching(t *testing.T) {
 	if Key(j1.Launch) == Key(j4.Launch) {
 		t.Fatal("different block shapes must not match")
 	}
+	// Kernel Match keys every coalescable job of every batch.
+	if n := testing.AllocsPerRun(100, func() { Key(j1.Launch) }); n != 0 {
+		t.Fatalf("Key: %v allocs, want 0", n)
+	}
 }
 
 func TestApplyGroupsAndWiresDeps(t *testing.T) {

@@ -95,6 +95,51 @@ func TestKernelErrorPropagatesToVP(t *testing.T) {
 	}
 }
 
+// TestLaunchWithoutProgFailsOnCoalescingService: a coalescable kernel
+// launched without its program must fail that one launch with an error, not
+// panic in the Kernel Match stage of the shared dispatch loop.
+func TestLaunchWithoutProgFailsOnCoalescingService(t *testing.T) {
+	opts := DefaultOptions()
+	if !opts.Coalesce {
+		t.Fatal("default service does not coalesce")
+	}
+	s := NewService(opts)
+	s.RegisterVP(0)
+	defer s.UnregisterVP(0)
+	ctx := cudart.NewContext(0, s.Backend(0))
+	bench, err := kernels.Get("vectorAdd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bench.Coalescable {
+		t.Fatal("vectorAdd is not coalescable")
+	}
+	mk := func() devmem.Ptr {
+		p, err := ctx.Malloc(4 * 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	bind := map[string]devmem.Ptr{"a": mk(), "b": mk(), "out": mk()}
+	l := &hostgpu.Launch{
+		Kernel: bench.Kernel, Grid: 1, Block: 64,
+		Params:   map[string]kpl.Value{"n": kpl.IntVal(64)},
+		Bindings: bind,
+		Native:   bench.Native,
+	}
+	if err := ctx.LaunchKernel(l); err == nil {
+		t.Fatal("launch without a program accepted")
+	} else if !strings.Contains(err.Error(), "without kernel or program") {
+		t.Fatalf("unexpected error: %v", err)
+	}
+	// The service still runs a well-formed launch afterwards.
+	l.Prog = bench.Prog
+	if err := ctx.LaunchKernel(l); err != nil {
+		t.Fatalf("service wedged after rejected launch: %v", err)
+	}
+}
+
 // TestMergedFailureFinishesMembers: when a coalesced launch fails, every
 // member job must be finished with the error rather than leaving VPs
 // blocked forever.

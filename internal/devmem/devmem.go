@@ -1,6 +1,7 @@
 package devmem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -333,9 +334,7 @@ func (m *Mem) Read(p Ptr, off, n int) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > len(b) {
 		return nil, fmt.Errorf("devmem: read [%d,%d) outside allocation of %d bytes", off, off+n, len(b))
 	}
-	out := make([]byte, n)
-	copy(out, b[off:off+n])
-	return out, nil
+	return bytes.Clone(b[off : off+n]), nil
 }
 
 // bind returns the raw backing slice (no copy) for kernel binding. Internal:

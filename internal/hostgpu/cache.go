@@ -1,11 +1,12 @@
 package hostgpu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/cachemodel"
@@ -21,7 +22,8 @@ import (
 // times: every iteration of an Iterations-heavy Fig. 11 application re-prices
 // an identical launch per VP, and the coalesce win predictor re-times every
 // group member per merge window. The cache memoizes the full
-// (σ, accesses, Timing) triple under a collision-free string key.
+// (σ, accesses, Timing) triple under a compact binary key (timingKey) built
+// from the signature kir.Analyze hashed once per kernel.
 //
 // Launches whose pricing depends on live device-memory *contents* are never
 // cached: data-dependent kernels without pre-measured Dyn stats sample λ from
@@ -37,47 +39,76 @@ type timingEntry struct {
 	hasTiming bool
 }
 
-// timingKey builds the cache key of a launch, or reports it uncacheable.
-// The key covers everything the pricing depends on besides the (fixed)
-// architecture: kernel structure, grid/block/shared/regs, scalar parameters,
-// per-buffer allocation sizes (the cache model reads them), and a fingerprint
-// of the pre-measured dynamic stats.
-func (g *GPU) timingKey(l *Launch) (string, bool) {
-	if g.NoTimingCache || l.SigmaOverride != nil || l.AccessesOverride != nil || l.ExecOverride != nil {
-		return "", false
-	}
-	if l.Dyn == nil && l.Prog.NeedsDynamicProfile() {
-		// λ must be sampled from live device memory at launch time; the
-		// result depends on buffer contents the key cannot see.
-		return "", false
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%x|%d|%d|%d|%d", l.Kernel.Signature(), l.Grid, l.Block, l.SharedMemPerBlock, l.RegsPerThread)
-	names := make([]string, 0, len(l.Params))
+// AppendMatchKey appends the launch fields that decide whether two launches
+// run the same kernel the same way, grid size and buffers aside: the kernel
+// signature (Prog.Sig), block size, shared memory, registers, and the scalar
+// parameters in name order. The timing-cache key and the coalescer's Kernel
+// Match key both start from it. The encoding is self-delimiting, so two
+// launches append equal bytes exactly when those fields are equal (floats
+// compare by bit pattern). l.Prog must be set.
+func (l *Launch) AppendMatchKey(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, l.Prog.Sig)
+	dst = binary.AppendVarint(dst, int64(l.Block))
+	dst = binary.AppendVarint(dst, int64(l.SharedMemPerBlock))
+	dst = binary.AppendVarint(dst, int64(l.RegsPerThread))
+	var nb [16]string
+	names := nb[:0]
 	for name := range l.Params {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	dst = binary.AppendUvarint(dst, uint64(len(names)))
 	for _, name := range names {
 		v := l.Params[name]
-		fmt.Fprintf(&b, "|%s=%d:%g:%d", name, v.T, v.F, v.I)
+		dst = binary.AppendUvarint(dst, uint64(len(name)))
+		dst = append(dst, name...)
+		dst = append(dst, byte(v.T))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
+		dst = binary.AppendVarint(dst, v.I)
 	}
+	return dst
+}
+
+// timingKey appends the cache key of a launch to dst, or reports it
+// uncacheable. The key covers everything the pricing depends on besides the
+// (fixed) architecture: the match key, the grid, per-buffer allocation sizes
+// (the cache model reads them), and a fingerprint of the pre-measured
+// dynamic stats. Buffer names go in with their sizes because kernels whose
+// buffers differ only in declaration order share a signature.
+func (g *GPU) timingKey(dst []byte, l *Launch) ([]byte, bool) {
+	if g.NoTimingCache || l.SigmaOverride != nil || l.AccessesOverride != nil || l.ExecOverride != nil {
+		return dst, false
+	}
+	if l.Dyn == nil && l.Prog.NeedsDynamicProfile() {
+		// λ must be sampled from live device memory at launch time; the
+		// result depends on buffer contents the key cannot see.
+		return dst, false
+	}
+	dst = l.AppendMatchKey(dst)
+	dst = binary.AppendVarint(dst, int64(l.Grid))
 	for _, decl := range l.Kernel.Bufs {
 		ptr, ok := l.Bindings[decl.Name]
 		if !ok {
-			return "", false
+			return dst, false
 		}
 		size, err := g.Mem.Size(ptr)
 		if err != nil {
-			return "", false
+			return dst, false
 		}
-		fmt.Fprintf(&b, "|%s#%d", decl.Name, size)
+		dst = binary.AppendUvarint(dst, uint64(len(decl.Name)))
+		dst = append(dst, decl.Name...)
+		dst = binary.AppendVarint(dst, int64(size))
 	}
-	if l.Dyn != nil {
-		fmt.Fprintf(&b, "|dyn:%x", dynFingerprint(l.Dyn))
+	if l.Dyn == nil {
+		return append(dst, 0), true
 	}
-	return b.String(), true
+	dst = append(dst, 1)
+	return binary.LittleEndian.AppendUint64(dst, dynFingerprint(l.Dyn)), true
 }
+
+// timingKeyBuf sizes the stack buffer timing keys are built in; longer keys
+// (many or long parameter names) spill to the heap.
+const timingKeyBuf = 128
 
 // dynFingerprint hashes the contents of pre-measured dynamic stats.
 func dynFingerprint(st *kpl.Stats) uint64 {
@@ -105,10 +136,10 @@ func hashInt64Map(h io.Writer, tag string, m map[string]int64) {
 }
 
 // cacheLookup returns the memoized entry for key, maintaining the hit/miss
-// counters.
-func (g *GPU) cacheLookup(key string) *timingEntry {
+// counters. The lookup does not copy key.
+func (g *GPU) cacheLookup(key []byte) *timingEntry {
 	g.cacheMu.RLock()
-	e := g.timingCache[key]
+	e := g.timingCache[string(key)]
 	g.cacheMu.RUnlock()
 	if e != nil {
 		g.cacheHits.Add(1)
@@ -120,12 +151,12 @@ func (g *GPU) cacheLookup(key string) *timingEntry {
 	return e
 }
 
-func (g *GPU) cacheStore(key string, e *timingEntry) {
+func (g *GPU) cacheStore(key []byte, e *timingEntry) {
 	g.cacheMu.Lock()
 	if g.timingCache == nil {
 		g.timingCache = map[string]*timingEntry{}
 	}
-	g.timingCache[key] = e
+	g.timingCache[string(key)] = e
 	g.cacheMu.Unlock()
 }
 
@@ -146,7 +177,8 @@ func (g *GPU) LaunchTiming(l *Launch) (arch.ClassVec, []cachemodel.Access, Timin
 		}
 		return arch.ClassVec{}, nil, Timing{}, fmt.Errorf("hostgpu: %s: zero-thread launch %d×%d cannot be priced", name, l.Grid, l.Block)
 	}
-	key, cacheable := g.timingKey(l)
+	var kb [timingKeyBuf]byte
+	key, cacheable := g.timingKey(kb[:0], l)
 	var sigma arch.ClassVec
 	var accesses []cachemodel.Access
 	var have bool

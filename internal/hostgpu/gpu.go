@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -52,7 +53,10 @@ func (iv Interval) Duration() float64 { return iv.End - iv.Start }
 // Launch describes one kernel invocation.
 type Launch struct {
 	Kernel *kpl.Kernel
-	Prog   *kir.Program // analyzed form of Kernel
+	// Prog is the analysis of Kernel (kir.Analyze). σ and every launch key
+	// are derived from it, so a kernel changed after analysis needs a fresh
+	// Prog before it is launched again.
+	Prog *kir.Program
 
 	Grid              int // blocks
 	Block             int // threads per block
@@ -149,6 +153,11 @@ type GPU struct {
 	engineFree   map[string]float64
 	computeSlots []float64 // per-slot free times under CKE
 	streamReady  map[int]float64
+	// frontier is the largest value in engineFree and streamReady. Entries
+	// of those maps only ever rise (schedule starts an op no earlier than
+	// its engine and stream are free; LiftStream never lowers a clock), so a
+	// running maximum over every value written equals a scan of both maps.
+	frontier     float64
 	lastIssue    float64
 	busy         map[string]float64 // accumulated busy seconds per engine
 	kernelEnergy float64            // accumulated kernel energies (dynamic + per-launch static)
@@ -225,19 +234,45 @@ func (g *GPU) schedule(engine string, stream int, dur float64, label string) Int
 		g.engineFree[engine] = end
 	}
 	g.streamReady[stream] = end
+	g.frontier = max(g.frontier, end)
 	g.busy[engine] += dur
 	g.mu.Unlock()
 	if g.Trace != nil {
 		g.Trace.Add(trace.Record{Engine: engine, Stream: stream, Label: label, Start: start, End: end})
 	}
 	if g.Metrics != nil {
-		g.Metrics.Counter("hostgpu.ops." + engine).Inc()
-		g.Metrics.Counter("hostgpu.engine_busy_ns." + engine).Add(int64(math.Round(dur * 1e9)))
+		ops, busy := engineCounters(engine)
+		g.Metrics.Counter(ops).Inc()
+		g.Metrics.Counter(busy).Add(int64(math.Round(dur * 1e9)))
 		if cke {
 			g.Metrics.Histogram("hostgpu.cke_occupancy", metrics.CountBuckets).Observe(occupancy)
 		}
 	}
 	return Interval{Start: start, End: end}
+}
+
+// engineCounters returns the names of an engine's op-count and busy-time
+// counters. The device has exactly the three engines named here.
+func engineCounters(engine string) (ops, busy string) {
+	switch engine {
+	case EngineH2D:
+		return "hostgpu.ops.h2d", "hostgpu.engine_busy_ns.h2d"
+	case EngineD2H:
+		return "hostgpu.ops.d2h", "hostgpu.engine_busy_ns.d2h"
+	case EngineCompute:
+		return "hostgpu.ops.compute", "hostgpu.engine_busy_ns.compute"
+	}
+	panic("hostgpu: unknown engine " + engine)
+}
+
+// sizeLabel returns the trace label "<op> <n>B" of a copy, fill or D2D
+// charge.
+func sizeLabel(op string, n int) string {
+	var b [32]byte
+	out := append(b[:0], op...)
+	out = append(out, ' ')
+	out = strconv.AppendInt(out, int64(n), 10)
+	return string(append(out, 'B'))
 }
 
 // CopyH2D transfers src into device memory at dst+off through the copy
@@ -256,7 +291,7 @@ func (g *GPU) CopyH2D(stream int, dst devmem.Ptr, off int, src []byte) (Interval
 		return Interval{}, err
 	}
 	dur := CopyTime(&g.Arch, len(src))
-	return g.schedule(EngineH2D, stream, dur, fmt.Sprintf("H2D %dB", len(src))), nil
+	return g.schedule(EngineH2D, stream, dur, sizeLabel("H2D", len(src))), nil
 }
 
 // CopyD2H transfers n bytes from device memory at src+off back to the host.
@@ -279,7 +314,7 @@ func (g *GPU) CopyD2H(stream int, src devmem.Ptr, off, n int) ([]byte, Interval,
 		}
 	}
 	dur := CopyTime(&g.Arch, n)
-	iv := g.schedule(EngineD2H, stream, dur, fmt.Sprintf("D2H %dB", n))
+	iv := g.schedule(EngineD2H, stream, dur, sizeLabel("D2H", n))
 	return data, iv, nil
 }
 
@@ -354,7 +389,8 @@ func (g *GPU) SessionEnergy() float64 {
 // the pieces of a merged launch. Results are memoized by launch signature
 // whenever the derivation cannot depend on live buffer contents.
 func (g *GPU) ResolveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, error) {
-	key, cacheable := g.timingKey(l)
+	var kb [timingKeyBuf]byte
+	key, cacheable := g.timingKey(kb[:0], l)
 	if cacheable {
 		if e := g.cacheLookup(key); e != nil {
 			return e.sigma, e.accesses, nil
@@ -491,7 +527,7 @@ func (g *GPU) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (Interv
 		}
 	}
 	dur := float64(n) / (g.Arch.MemBWGBps * 1e9)
-	return g.schedule(EngineCompute, stream, dur, fmt.Sprintf("memset %dB", n)), nil
+	return g.schedule(EngineCompute, stream, dur, sizeLabel("memset", n)), nil
 }
 
 // ChargeD2D charges a device-to-device copy of n bytes through device
@@ -501,7 +537,7 @@ func (g *GPU) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (Interv
 // copy has no host-side bytes to move.
 func (g *GPU) ChargeD2D(stream, n int) Interval {
 	dur := float64(n) / (g.Arch.MemBWGBps * 1e9)
-	return g.schedule(EngineH2D, stream, dur, fmt.Sprintf("D2D %dB", n))
+	return g.schedule(EngineH2D, stream, dur, sizeLabel("D2D", n))
 }
 
 // SyncStream returns the simulated time at which all work submitted to the
@@ -544,6 +580,7 @@ func (g *GPU) LiftStream(stream int, t float64) {
 	defer g.mu.Unlock()
 	if t > g.streamReady[stream] {
 		g.streamReady[stream] = t
+		g.frontier = max(g.frontier, t)
 	}
 }
 
@@ -551,14 +588,7 @@ func (g *GPU) LiftStream(stream int, t float64) {
 func (g *GPU) Sync() float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var t float64
-	for _, v := range g.engineFree {
-		t = math.Max(t, v)
-	}
-	for _, v := range g.streamReady {
-		t = math.Max(t, v)
-	}
-	return t
+	return g.frontier
 }
 
 // BusySeconds returns the accumulated busy time of an engine.
@@ -585,6 +615,7 @@ func (g *GPU) ResetClock() {
 	g.engineFree = map[string]float64{}
 	g.computeSlots = nil
 	g.streamReady = map[int]float64{}
+	g.frontier = 0
 	g.lastIssue = 0
 	g.busy = map[string]float64{}
 	g.kernelEnergy = 0

@@ -9,6 +9,7 @@ import (
 	"repro/internal/devmem"
 	"repro/internal/kir"
 	"repro/internal/kpl"
+	"repro/internal/metrics"
 	"repro/internal/profile"
 )
 
@@ -188,5 +189,27 @@ func TestTimingCacheHitsAndEquality(t *testing.T) {
 	}
 	if p3.TimeSec != p1.TimeSec {
 		t.Fatalf("cache on/off priced differently: %v vs %v", p3.TimeSec, p1.TimeSec)
+	}
+}
+
+// TestBookkeepingAllocs: a warm-cache LaunchTiming hit and Sync do their
+// bookkeeping without allocating — both run on every launch the service
+// dispatches.
+func TestBookkeepingAllocs(t *testing.T) {
+	g := newQuadro(t)
+	g.Metrics = metrics.New()
+	l := prepVecAdd(t, g, 512, 1, 512)
+	if _, _, _, err := g.LaunchTiming(l); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := g.LaunchTiming(l); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("warm-cache LaunchTiming: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { g.Sync() }); n != 0 {
+		t.Errorf("Sync: %v allocs, want 0", n)
 	}
 }

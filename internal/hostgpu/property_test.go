@@ -1,6 +1,7 @@
 package hostgpu
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -132,6 +133,50 @@ func TestStallsNonNegativeProperty(t *testing.T) {
 			ElemSize: 4,
 		}})
 		return with.Seconds >= base.Seconds
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: Sync's running frontier equals a brute-force maximum over every
+// engine and stream clock after each step of any random sequence of
+// schedule, LiftStream and ResetClock calls, with Concurrent Kernel
+// Execution, Serialize and InOrderIssue each on or off.
+func TestSyncFrontierProperty(t *testing.T) {
+	engines := []string{EngineH2D, EngineD2H, EngineCompute}
+	f := func(ops []uint16, cke, serialize, inOrder bool) bool {
+		g := New(arch.Quadro4000(), 1<<20)
+		if cke {
+			g.ComputeSlots = 3
+		}
+		g.Serialize = serialize
+		g.InOrderIssue = inOrder
+		for _, op := range ops {
+			stream := int(op % 7)
+			switch (op / 7) % 8 {
+			case 0:
+				g.LiftStream(stream, float64(op%97)*1e-4)
+			case 1:
+				if op%5 == 0 {
+					g.ResetClock()
+				}
+			default:
+				g.schedule(engines[int(op/56)%3], stream, float64(op%31)*1e-5, "op")
+			}
+			var want float64
+			for _, v := range g.engineFree {
+				want = math.Max(want, v)
+			}
+			for _, v := range g.streamReady {
+				want = math.Max(want, v)
+			}
+			if got := g.Sync(); got != want {
+				t.Logf("Sync() = %v, brute-force max %v", got, want)
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -70,6 +70,11 @@ func newBlock(label string, kind TripKind) *Block {
 type Program struct {
 	Kernel *kpl.Kernel
 	Root   *Block
+
+	// Sig is Kernel.Signature(), hashed once here so the per-launch timing
+	// and coalescing keys never re-walk the kernel AST. A kernel changed
+	// after Analyze must be analyzed again.
+	Sig uint64
 }
 
 // Analyze lowers the kernel. The kernel must already Validate.
@@ -82,7 +87,7 @@ func Analyze(k *kpl.Kernel) (*Program, error) {
 	if err := a.stmts(k.Body, root); err != nil {
 		return nil, err
 	}
-	return &Program{Kernel: k, Root: root}, nil
+	return &Program{Kernel: k, Root: root, Sig: k.Signature()}, nil
 }
 
 type analyzer struct {

@@ -229,17 +229,17 @@ func (p *Program) Blocks() []*Block {
 }
 
 // NeedsDynamicProfile reports whether any loop's λ is data-dependent, i.e.
-// Sigma requires dynamic statistics for this kernel.
-func (p *Program) NeedsDynamicProfile() bool {
-	for _, b := range p.Blocks() {
-		if b.Kind != TripLoop {
-			continue
-		}
-		if b.HasBreak {
-			return true
-		}
-		// Bounds referencing TID/Var/Load cannot be resolved statically.
-		if !staticResolvable(b.Start) || !staticResolvable(b.End) {
+// Sigma requires dynamic statistics for this kernel. It walks the blocks in
+// place: every cacheable launch asks, so it must not allocate.
+func (p *Program) NeedsDynamicProfile() bool { return needsDynamic(p.Root) }
+
+func needsDynamic(b *Block) bool {
+	// Bounds referencing TID/Var/Load cannot be resolved statically.
+	if b.Kind == TripLoop && (b.HasBreak || !staticResolvable(b.Start) || !staticResolvable(b.End)) {
+		return true
+	}
+	for _, c := range b.Children {
+		if needsDynamic(c) {
 			return true
 		}
 	}

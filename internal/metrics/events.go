@@ -76,24 +76,43 @@ func (e Event) less(o Event) bool {
 	return e.Err < o.Err
 }
 
+// eventChunk is the capacity of one event-log chunk. The log grows a chunk
+// at a time, so logging an event never copies the events before it.
+const eventChunk = 1024
+
 // Event appends one event to the trace.
 func (r *Registry) Event(e Event) {
 	if r == nil {
 		return
 	}
 	r.evMu.Lock()
-	r.events = append(r.events, e)
+	n := len(r.events)
+	if n == 0 || len(r.events[n-1]) == eventChunk {
+		r.events = append(r.events, make([]Event, 0, eventChunk))
+		n++
+	}
+	r.events[n-1] = append(r.events[n-1], e)
 	r.evMu.Unlock()
 }
 
 // Events returns a sorted copy of the job trace (canonical order, see
-// Event.less).
+// Event.less), or nil when no event was logged.
 func (r *Registry) Events() []Event {
 	if r == nil {
 		return nil
 	}
 	r.evMu.Lock()
-	out := append([]Event(nil), r.events...)
+	total := 0
+	for _, c := range r.events {
+		total += len(c)
+	}
+	var out []Event
+	if total > 0 {
+		out = make([]Event, 0, total)
+		for _, c := range r.events {
+			out = append(out, c...)
+		}
+	}
 	r.evMu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].less(out[j]) })
 	return out

@@ -111,7 +111,7 @@ type Registry struct {
 	hists    map[string]*Histogram
 
 	evMu   sync.Mutex
-	events []Event
+	events [][]Event // chunks of eventChunk events; only the last has room
 }
 
 // New returns an empty registry.

@@ -3,6 +3,10 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"sort"
+	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -144,5 +148,76 @@ func TestReset(t *testing.T) {
 	r.Counter("c").Inc() // still usable
 	if r.Counter("c").Value() != 1 {
 		t.Error("registry unusable after Reset")
+	}
+}
+
+// TestEventLogChunks: an event log spanning several chunks, filled from
+// several goroutines, returns exactly what one flat slice sorted into the
+// canonical order would, in Events and in the Snapshot JSON; Reset empties
+// it, and empty or nil registries return nil.
+func TestEventLogChunks(t *testing.T) {
+	const workers = 4
+	perWorker := (2*eventChunk + eventChunk/2) / workers
+	ev := func(w, i int) Event {
+		return Event{
+			Kind: EventCompleted, VP: w, Stream: i % 5, Engine: "compute",
+			Label: "k" + strconv.Itoa(i%3), Time: float64(i % 97), Start: float64(i), End: float64(i) + 0.5,
+		}
+	}
+	var flat []Event
+	for w := 0; w < workers; w++ {
+		for i := 0; i < perWorker; i++ {
+			flat = append(flat, ev(w, i))
+		}
+	}
+	sort.SliceStable(flat, func(i, j int) bool { return flat[i].less(flat[j]) })
+
+	r := New()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				r.Event(ev(w, i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if len(flat) <= 2*eventChunk {
+		t.Fatalf("%d events fit in two chunks of %d", len(flat), eventChunk)
+	}
+	got := r.Events()
+	if !reflect.DeepEqual(got, flat) {
+		t.Fatal("Events differs from the flat-slice reference")
+	}
+	if cap(got) != len(flat) {
+		t.Errorf("Events capacity %d, want exactly %d", cap(got), len(flat))
+	}
+	gotJSON, err := r.Snapshot().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := Snapshot{Events: flat}.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatal("Snapshot JSON differs from the flat-slice reference")
+	}
+
+	r.Reset()
+	if evs := r.Events(); evs != nil {
+		t.Fatalf("Events after Reset = %d events, want nil", len(evs))
+	}
+	r.Event(ev(0, 1))
+	if evs := r.Events(); len(evs) != 1 || evs[0] != ev(0, 1) {
+		t.Fatalf("Events after Reset and one event = %+v", evs)
+	}
+	if New().Events() != nil {
+		t.Error("empty registry: Events() != nil")
+	}
+	if (*Registry)(nil).Events() != nil {
+		t.Error("nil registry: Events() != nil")
 	}
 }

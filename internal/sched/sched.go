@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/devmem"
@@ -107,9 +108,21 @@ func newJob(vp, stream int, engine, label string) *Job {
 	return &Job{VP: vp, Stream: stream, Engine: engine, Label: label, done: make(chan struct{})}
 }
 
+// sizeLabel returns the job label "vp<vp> <op> <n>B" of a copy or fill.
+func sizeLabel(vp int, op string, n int) string {
+	var b [48]byte
+	out := append(b[:0], "vp"...)
+	out = strconv.AppendInt(out, int64(vp), 10)
+	out = append(out, ' ')
+	out = append(out, op...)
+	out = append(out, ' ')
+	out = strconv.AppendInt(out, int64(n), 10)
+	return string(append(out, 'B'))
+}
+
 // NewH2D builds a host-to-device copy job.
 func NewH2D(vp, stream int, dst devmem.Ptr, off int, data []byte) *Job {
-	j := newJob(vp, stream, hostgpu.EngineH2D, fmt.Sprintf("vp%d H2D %dB", vp, len(data)))
+	j := newJob(vp, stream, hostgpu.EngineH2D, sizeLabel(vp, "H2D", len(data)))
 	j.Bytes = len(data)
 	j.Run = func(g *hostgpu.GPU) error {
 		iv, err := g.CopyH2D(stream, dst, off, data)
@@ -121,7 +134,7 @@ func NewH2D(vp, stream int, dst devmem.Ptr, off int, data []byte) *Job {
 
 // NewD2H builds a device-to-host copy job; the bytes land in Job.Data.
 func NewD2H(vp, stream int, src devmem.Ptr, off, n int) *Job {
-	j := newJob(vp, stream, hostgpu.EngineD2H, fmt.Sprintf("vp%d D2H %dB", vp, n))
+	j := newJob(vp, stream, hostgpu.EngineD2H, sizeLabel(vp, "D2H", n))
 	j.Bytes = n
 	j.Run = func(g *hostgpu.GPU) error {
 		data, iv, err := g.CopyD2H(stream, src, off, n)
@@ -135,7 +148,7 @@ func NewD2H(vp, stream int, src devmem.Ptr, off, n int) *Job {
 // NewMemset builds a device-memory fill job (cudaMemset); fills run on the
 // compute engine's fill path.
 func NewMemset(vp, stream int, dst devmem.Ptr, off, n int, value byte) *Job {
-	j := newJob(vp, stream, hostgpu.EngineCompute, fmt.Sprintf("vp%d memset %dB", vp, n))
+	j := newJob(vp, stream, hostgpu.EngineCompute, sizeLabel(vp, "memset", n))
 	j.Run = func(g *hostgpu.GPU) error {
 		iv, err := g.Memset(stream, dst, off, n, value)
 		j.Interval = iv
@@ -146,7 +159,7 @@ func NewMemset(vp, stream int, dst devmem.Ptr, off, n int, value byte) *Job {
 
 // NewKernel builds a kernel-launch job.
 func NewKernel(vp, stream int, l *hostgpu.Launch) *Job {
-	j := newJob(vp, stream, hostgpu.EngineCompute, fmt.Sprintf("vp%d %s", vp, l.Kernel.Name))
+	j := newJob(vp, stream, hostgpu.EngineCompute, "vp"+strconv.Itoa(vp)+" "+l.Kernel.Name)
 	j.Launch = l
 	j.Run = func(g *hostgpu.GPU) error {
 		p, iv, err := g.Launch(stream, l)
